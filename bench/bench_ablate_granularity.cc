@@ -105,7 +105,7 @@ main(int argc, char **argv)
             strict.mode = SimConfig::Mode::Strict;
             strict.link = link;
             double base = static_cast<double>(
-                e.sim->run(strict).totalCycles);
+                runReplay(*e.ctx, strict).totalCycles);
 
             uint64_t method_level =
                 replayInterleaved(e, e.ctx->trace(), link, {});

@@ -122,7 +122,7 @@ main(int argc, char **argv)
             strict.mode = SimConfig::Mode::Strict;
             strict.link = link;
             double base =
-                static_cast<double>(e.sim->run(strict).totalCycles);
+                static_cast<double>(runReplay(*e.ctx, strict).totalCycles);
             for (Policy p :
                  {Policy::Demand, Policy::Eager, Policy::Greedy}) {
                 uint64_t misses = 0;

@@ -32,18 +32,17 @@
 #include "obs/metrics.h"
 #include "obs/stall.h"
 #include "sim/runner.h"
-#include "sim/simulator.h"
+#include "sim/replay.h"
 #include "workloads/workload.h"
 
 namespace nse
 {
 
-/** A workload together with its shared context and simulator façade. */
+/** A workload together with its shared context. */
 struct BenchEntry
 {
     Workload workload;
     std::shared_ptr<const SimContext> ctx;
-    std::unique_ptr<Simulator> sim;
 };
 
 /** Cross-binary cache directory for instrumented runs ("" = off). */
@@ -66,7 +65,7 @@ benchRunner()
     return runner;
 }
 
-/** Build all six workloads with ready contexts and simulators. */
+/** Build all six workloads with ready contexts. */
 inline std::vector<BenchEntry>
 benchWorkloads()
 {
@@ -81,7 +80,6 @@ benchWorkloads()
         e.ctx = std::make_shared<SimContext>(
             e.workload.program, e.workload.natives,
             e.workload.trainInput, e.workload.testInput, cache);
-        e.sim = std::make_unique<Simulator>(e.ctx);
     }
     return out;
 }

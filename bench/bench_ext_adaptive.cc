@@ -202,7 +202,7 @@ RunStats
 runOnce(const BenchEntry &e, OrderingSource src, const LinkModel &link,
         bool adaptive, double strict_total)
 {
-    const FirstUseOrder &order = e.sim->ordering(src);
+    const FirstUseOrder &order = e.ctx->ordering(src);
     AdaptiveInterleaver net(e.workload.program, order,
                             link.cyclesPerByte, adaptive);
     RunStats stats;
@@ -240,7 +240,7 @@ main()
         strict.mode = SimConfig::Mode::Strict;
         strict.link = kModemLink;
         double base =
-            static_cast<double>(e.sim->run(strict).totalCycles);
+            static_cast<double>(runReplay(*e.ctx, strict).totalCycles);
 
         RunStats f = runOnce(e, OrderingSource::Static, kModemLink,
                              false, base);

@@ -114,8 +114,8 @@ main()
             ns.link = link;
             ns.parallelLimit = 4;
 
-            SimResult strict_nom = e.sim->run(strict);
-            SimResult ns_nom = e.sim->run(ns);
+            SimResult strict_nom = runReplay(*e.ctx, strict);
+            SimResult ns_nom = runReplay(*e.ctx, ns);
             uint64_t bytes = programBytes(e.workload.program);
             auto base = static_cast<double>(strict_nom.totalCycles);
 
@@ -127,8 +127,8 @@ main()
                                           bytes, /*seed=*/1998);
                 strict.faults = plan;
                 ns.faults = plan;
-                SimResult strict_f = e.sim->run(strict);
-                SimResult ns_f = e.sim->run(ns);
+                SimResult strict_f = runReplay(*e.ctx, strict);
+                SimResult ns_f = runReplay(*e.ctx, ns);
                 // Signed: a fault-shifted demand fetch can nudge a
                 // compute-bound run marginally below its nominal time.
                 double s_deg =

@@ -34,21 +34,22 @@ struct Row
 };
 
 Row
-measure(std::shared_ptr<const SimContext> ctx)
+measure(const Workload &w)
 {
-    Simulator sim(std::move(ctx));
+    SimContext ctx(w.program, w.natives, w.trainInput, w.testInput,
+                   benchCacheDir());
     SimConfig strict;
     strict.mode = SimConfig::Mode::Strict;
     strict.link = kModemLink;
-    SimResult base = sim.run(strict);
+    SimResult base = runReplay(ctx, strict);
 
     Row row;
-    row.invocation = sim.nonStrictInvocationLatency(kModemLink, false);
+    row.invocation = nonStrictInvocationLatency(ctx, kModemLink, false);
     SimConfig cfg;
     cfg.mode = SimConfig::Mode::Interleaved;
     cfg.ordering = OrderingSource::Test;
     cfg.link = kModemLink;
-    row.normalized = normalizedPct(sim.run(cfg), base);
+    row.normalized = normalizedPct(runReplay(ctx, cfg), base);
     return row;
 }
 
@@ -71,15 +72,11 @@ main(int argc, char **argv)
     std::vector<std::vector<std::string>> rows(names.size());
     benchRunner().parallelFor(names.size(), [&](size_t i) {
         Workload plain = makeWorkload(names[i]);
-        Row before = measure(std::make_shared<SimContext>(
-            plain.program, plain.natives, plain.trainInput,
-            plain.testInput, benchCacheDir()));
+        Row before = measure(plain);
 
         Workload split_wl = makeWorkload(names[i]);
         SplitStats stats = splitLargeMethods(split_wl.program, 2'048);
-        Row after = measure(std::make_shared<SimContext>(
-            split_wl.program, split_wl.natives, split_wl.trainInput,
-            split_wl.testInput, benchCacheDir()));
+        Row after = measure(split_wl);
 
         rows[i] = {names[i], std::to_string(stats.tailsCreated),
                    fmtMillions(before.invocation),

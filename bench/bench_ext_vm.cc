@@ -1,31 +1,28 @@
 /**
  * @file
  * Extension — the execution core itself: how fast is the simulator's
- * substrate? Three dispatch strategies execute identical semantics
- * (vm/interpreter.h): the classic one-Instruction-at-a-time switch,
- * a portable switch over the pre-decoded IR, and computed-goto direct
- * threading over the same IR (vm/decoded.h). This bench pins their
- * relative throughput, plus the replay integrator's batched
- * quiet-window stepping against the per-event path it replaces.
+ * substrate? Two dispatch strategies execute identical semantics
+ * (vm/interpreter.h): the classic one-Instruction-at-a-time switch
+ * (the oracle) and computed-goto direct threading over the pre-decoded
+ * IR (vm/decoded.h). This bench pins their relative throughput, plus
+ * the trace-replay integrator's event rate.
  *
  * Three tables:
  *
  *   live dispatch    every workload interpreted end-to-end under each
  *                    dispatch mode, in ns per executed bytecode (the
- *                    decoded modes share SimContext's decode cache,
+ *                    threaded runs share SimContext's decode cache,
  *                    so verify+decode is paid once, as in real use);
  *   synthetic loop   a generated arithmetic-loop program
  *                    (workloads/synthetic.h) that isolates dispatch
  *                    from native/invoke overhead — the stable number
  *                    the CI floor asserts on (threaded must stay
- *                    >= 5x classic);
- *   replay           the batched trace-replay integrator vs the exact
- *                    per-event path (forced by attaching a null event
- *                    sink), with a field-for-field SimResult equality
- *                    self-check. The engine's event-loop pass gating
- *                    (transfer/engine.h) speeds up *both* paths, so the
- *                    ratio column is modest by design; absolute batched
- *                    events/s is the headline replay number.
+ *                    >= 5x classic). Classic and threaded runs are
+ *                    interleaved and each keeps its minimum, so a
+ *                    burst of machine load cannot land on one side;
+ *   replay           trace-replay throughput per workload: best
+ *                    runReplay wall-clock and replayed first-use
+ *                    events per second.
  *
  * Timing tables vary run to run; this bench has no golden. The
  * BENCH_ext_vm.json metrics carry the speedups for CI.
@@ -33,6 +30,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <functional>
 
 #include "bench/bench_common.h"
 #include "report/json.h"
@@ -46,13 +44,9 @@ using namespace nse;
 namespace
 {
 
-/** Sink that forces runReplay onto the exact per-event path while
- *  recording nothing. */
-class NullSink : public EventSink
-{
-  public:
-    void record(const ObsEvent &) override {}
-};
+/** Synthetic-loop sampling: interleaved classic/threaded rounds. */
+constexpr int kSynMinReps = 15;
+constexpr double kSynBudgetNs = 1e9;
 
 /** One full interpretation; returns ns/bytecode. */
 double
@@ -72,41 +66,32 @@ interpretOnce(const Program &prog, const NativeRegistry &natives,
            static_cast<double>(r.bytecodes ? r.bytecodes : 1);
 }
 
-/** Time `fn` (ns per call): one warm-up call, then repeat until 25 ms
- *  of samples (>= 5 calls) and keep the minimum. */
-template <typename Fn>
-double
-bestNs(Fn &&fn)
+/**
+ * Time each of `fns` (ns per call) with the calls interleaved: one
+ * warm-up call each, then rounds calling every fn once, until every fn
+ * has >= `min_reps` samples and `budget_ns` of samples have been
+ * taken in total. Each fn keeps its minimum.
+ */
+std::vector<double>
+bestNs(const std::vector<std::function<void()>> &fns, int min_reps = 5,
+       double budget_ns = 25e6)
 {
-    fn();
-    double best = 0.0;
-    double total = 0.0;
-    int reps = 0;
-    while (reps < 5 || total < 25e6) {
-        auto t0 = std::chrono::steady_clock::now();
+    for (const auto &fn : fns)
         fn();
-        auto t1 = std::chrono::steady_clock::now();
-        double ns =
-            std::chrono::duration<double, std::nano>(t1 - t0).count();
-        best = reps == 0 ? ns : std::min(best, ns);
-        total += ns;
-        ++reps;
+    std::vector<double> best(fns.size(), 0.0);
+    double total = 0.0;
+    for (int reps = 0; reps < min_reps || total < budget_ns; ++reps) {
+        for (size_t i = 0; i < fns.size(); ++i) {
+            auto t0 = std::chrono::steady_clock::now();
+            fns[i]();
+            auto t1 = std::chrono::steady_clock::now();
+            double ns =
+                std::chrono::duration<double, std::nano>(t1 - t0).count();
+            best[i] = reps == 0 ? ns : std::min(best[i], ns);
+            total += ns;
+        }
     }
     return best;
-}
-
-bool
-sameResult(const SimResult &a, const SimResult &b)
-{
-    return a.invocationLatency == b.invocationLatency &&
-           a.totalCycles == b.totalCycles &&
-           a.execCycles == b.execCycles &&
-           a.transferCycles == b.transferCycles &&
-           a.stallCycles == b.stallCycles &&
-           a.mispredictions == b.mispredictions &&
-           a.bytecodes == b.bytecodes && a.cpi == b.cpi &&
-           a.retryCount == b.retryCount &&
-           a.degradedCycles == b.degradedCycles;
 }
 
 } // namespace
@@ -116,46 +101,40 @@ main(int argc, char **argv)
 {
     benchInit(argc, argv);
     benchHeader("Extension (execution core)",
-                "Dispatch throughput (classic switch vs decoded switch "
-                "vs direct threading) and batched trace replay");
+                "Dispatch throughput (classic switch vs direct "
+                "threading) and trace-replay throughput");
 
     std::vector<BenchEntry> entries = benchWorkloads();
     BenchJson json("ext_vm");
 
     // ---- Live dispatch: full workloads, end to end. -----------------
-    Table live({"Program", "Bytecodes", "Classic ns/bc", "Switch ns/bc",
-                "Threaded ns/bc", "Thr/Classic", "Thr/Switch"});
-    double log_thr = 0.0, log_sw = 0.0;
+    Table live({"Program", "Bytecodes", "Classic ns/bc", "Threaded ns/bc",
+                "Thr/Classic"});
+    double log_thr = 0.0;
     for (const BenchEntry &e : entries) {
         const Program &prog = e.workload.program;
         const NativeRegistry &nat = e.workload.natives;
         const std::vector<int64_t> &in = e.workload.testInput;
         const DecodedCache *dc = &e.ctx->decoded();
         uint64_t bc = 0;
-        // Warm the shared decode cache so every timed decoded run
+        // Warm the shared decode cache so every timed threaded run
         // measures execution, not one-time verify+decode (real use
         // amortizes it across a whole experiment grid).
         interpretOnce(prog, nat, in, DispatchMode::Threaded, dc, &bc);
         double thr = interpretOnce(prog, nat, in,
                                    DispatchMode::Threaded, dc, &bc);
-        double sw = interpretOnce(prog, nat, in, DispatchMode::Switch,
-                                  dc, nullptr);
         double cl = interpretOnce(prog, nat, in, DispatchMode::Classic,
                                   nullptr, nullptr);
         log_thr += std::log(cl / thr);
-        log_sw += std::log(cl / sw);
         live.addRow({e.workload.name, std::to_string(bc), fmtF(cl, 2),
-                     fmtF(sw, 2), fmtF(thr, 2), fmtF(cl / thr, 2),
-                     fmtF(sw / thr, 2)});
+                     fmtF(thr, 2), fmtF(cl / thr, 2)});
     }
     double n = static_cast<double>(entries.size());
     double geo_thr = std::exp(log_thr / n);
-    double geo_sw = std::exp(log_sw / n);
-    live.addRow({"GEOMEAN", "", "", "", "", fmtF(geo_thr, 2), ""});
+    live.addRow({"GEOMEAN", "", "", "", fmtF(geo_thr, 2)});
     std::cout << live.render() << "\n";
     json.addTable("live dispatch", live);
     json.setMetric("workload_threaded_speedup", geo_thr);
-    json.setMetric("workload_switch_speedup", geo_sw);
 
     // ---- Synthetic loop: the CI-pinned dispatch number. -------------
     // A generated arithmetic-loop program with almost no native or
@@ -175,70 +154,52 @@ main(int argc, char **argv)
     DecodedCache syn_dc(syn);
 
     uint64_t syn_bc = 0;
-    auto syn_ns = [&](DispatchMode mode, const DecodedCache *dc) {
-        return bestNs([&] {
+    auto syn_run = [&](DispatchMode mode, const DecodedCache *dc) {
+        return [&, mode, dc] {
             interpretOnce(syn, syn_nat, syn_in, mode, dc, &syn_bc);
-        });
+        };
     };
-    double syn_thr = syn_ns(DispatchMode::Threaded, &syn_dc);
-    double syn_sw = syn_ns(DispatchMode::Switch, &syn_dc);
-    double syn_cl = syn_ns(DispatchMode::Classic, nullptr);
+    std::vector<double> syn_ns =
+        bestNs({syn_run(DispatchMode::Classic, nullptr),
+                syn_run(DispatchMode::Threaded, &syn_dc)},
+               kSynMinReps, kSynBudgetNs);
+    double syn_cl = syn_ns[0], syn_thr = syn_ns[1];
     double per_bc = static_cast<double>(syn_bc);
 
     Table synth({"Mode", "ns/bc", "Speedup vs classic"});
     synth.addRow({"Classic", fmtF(syn_cl / per_bc, 2), fmtF(1.0, 2)});
-    synth.addRow({"Switch", fmtF(syn_sw / per_bc, 2),
-                  fmtF(syn_cl / syn_sw, 2)});
     synth.addRow({"Threaded", fmtF(syn_thr / per_bc, 2),
                   fmtF(syn_cl / syn_thr, 2)});
     std::cout << synth.render() << "\n";
     json.addTable("synthetic dispatch", synth);
     json.setMetric("synthetic_threaded_speedup", syn_cl / syn_thr);
-    json.setMetric("synthetic_switch_speedup", syn_cl / syn_sw);
 
-    // ---- Replay: batched quiet-window integrator vs per-event. ------
+    // ---- Replay: trace-replay throughput. ---------------------------
     SimConfig cfg;
     cfg.mode = SimConfig::Mode::Parallel;
     cfg.ordering = OrderingSource::Train;
     cfg.link = kT1Link;
     cfg.parallelLimit = 4;
 
-    Table rep({"Program", "Events", "Per-event us", "Batched us",
-               "Speedup", "Batched events/s", "Equal"});
-    double log_rep = 0.0;
+    Table rep({"Program", "Events", "Replay us", "Events/s"});
     double log_eps = 0.0;
-    uint64_t mismatches = 0;
     for (const BenchEntry &e : entries) {
         const SimContext &ctx = *e.ctx;
-        double events =
-            static_cast<double>(ctx.trace().events.size());
-        NullSink sink;
-        SimResult forced = runReplay(ctx, cfg, &sink);
-        SimResult batched = runReplay(ctx, cfg);
-        bool equal = sameResult(forced, batched);
-        if (!equal)
-            ++mismatches;
-        double ns_forced =
-            bestNs([&] { runReplay(ctx, cfg, &sink); });
-        double ns_batched = bestNs([&] { runReplay(ctx, cfg); });
-        log_rep += std::log(ns_forced / ns_batched);
-        log_eps += std::log(events * 1e9 / ns_batched);
+        double events = static_cast<double>(ctx.trace().events.size());
+        double ns = bestNs({[&] { runReplay(ctx, cfg); }})[0];
+        log_eps += std::log(events * 1e9 / ns);
         rep.addRow({e.workload.name,
                     std::to_string(ctx.trace().events.size()),
-                    fmtF(ns_forced / 1e3, 1),
-                    fmtF(ns_batched / 1e3, 1),
-                    fmtF(ns_forced / ns_batched, 2),
-                    std::to_string(static_cast<uint64_t>(
-                        events * 1e9 / ns_batched)),
-                    equal ? "yes" : "NO"});
+                    fmtF(ns / 1e3, 1),
+                    std::to_string(
+                        static_cast<uint64_t>(events * 1e9 / ns))});
     }
-    double geo_rep = std::exp(log_rep / n);
-    rep.addRow({"GEOMEAN", "", "", "", fmtF(geo_rep, 2), "", ""});
+    double geo_eps = std::exp(log_eps / n);
+    rep.addRow({"GEOMEAN", "", "",
+                std::to_string(static_cast<uint64_t>(geo_eps))});
     std::cout << rep.render();
     json.addTable("replay integrator", rep);
-    json.setMetric("replay_batched_speedup", geo_rep);
-    json.setMetric("replay_events_per_sec", std::exp(log_eps / n));
-    json.setMetric("replay_mismatches", mismatches);
+    json.setMetric("replay_events_per_sec", geo_eps);
 
     writeBenchJson(json);
     maybeWriteBenchTrace(entries);

@@ -31,8 +31,8 @@ main(int argc, char **argv)
         desc.addRow({e.workload.name, e.workload.description});
 
         ProgramStatics st = collectStatics(e.workload.program);
-        const FirstUseProfile &test = e.sim->testProfile();
-        const FirstUseProfile &train = e.sim->trainProfile();
+        const FirstUseProfile &test = e.ctx->testProfile();
+        const FirstUseProfile &train = e.ctx->trainProfile();
 
         stats.addRow({
             e.workload.name,

@@ -42,7 +42,7 @@ main(int argc, char **argv)
     double cpi_sum = 0;
     int n = 0;
     for (size_t w = 0; w < grid.size(); ++w) {
-        const VmResult &exec = entries[w].sim->testProfile().result;
+        const VmResult &exec = entries[w].ctx->testProfile().result;
         Table *tables[] = {&t1, &modem};
         for (size_t c = 0; c < 2; ++c) {
             const SimResult &r = grid[w].cells[c].result;

@@ -40,11 +40,11 @@ linkTable(const std::vector<BenchEntry> &entries, const LinkModel &link)
     };
     std::vector<Latencies> lat(entries.size());
     benchRunner().parallelFor(entries.size(), [&](size_t i) {
-        lat[i].strict = entries[i].sim->strictInvocationLatency(link);
+        lat[i].strict = strictInvocationLatency(*entries[i].ctx, link);
         lat[i].ns =
-            entries[i].sim->nonStrictInvocationLatency(link, false);
+            nonStrictInvocationLatency(*entries[i].ctx, link, false);
         lat[i].dp =
-            entries[i].sim->nonStrictInvocationLatency(link, true);
+            nonStrictInvocationLatency(*entries[i].ctx, link, true);
     });
 
     uint64_t sum_strict = 0;

@@ -42,10 +42,10 @@ main(int argc, char **argv)
             r.local += layoutOf(prog.classAt(c)).localDataBytes;
 
         const DataPartition &part =
-            e.sim->partition(OrderingSource::Test);
+            e.ctx->partition(OrderingSource::Test);
 
         std::set<MethodId> executed;
-        for (auto &[id, mp] : e.sim->testProfile().methods)
+        for (auto &[id, mp] : e.ctx->testProfile().methods)
             executed.insert(id);
         GlobalDataUsage usage = analyzeUsage(prog, part, executed);
         r.globalTotal = usage.total();

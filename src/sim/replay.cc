@@ -23,6 +23,27 @@ normalizedPct(const SimResult &result, const SimResult &strict)
 }
 
 uint64_t
+strictInvocationLatency(const SimContext &ctx, const LinkModel &link)
+{
+    return transferCost(ctx.entryClassBytes(), link);
+}
+
+uint64_t
+nonStrictInvocationLatency(const SimContext &ctx, const LinkModel &link,
+                           bool data_partition)
+{
+    // The entry method is first in every ordering, so any ordering
+    // gives the same figure; use the static one.
+    LayoutKey key;
+    key.parallel = true;
+    key.ordering = OrderingSource::Static;
+    key.partitioned = data_partition;
+    const TransferLayout &layout = ctx.layout(key);
+    return transferCost(layout.of(ctx.program().entry()).availOffset,
+                        link);
+}
+
+uint64_t
 wholeProgramTransferCycles(uint64_t total_bytes, uint64_t entry_bytes,
                            const LinkModel &link, const FaultPlan &plan,
                            uint64_t *invocation_latency,
@@ -180,44 +201,11 @@ runReplay(const SimContext &ctx, const SimConfig &cfg, EventSink *obs)
     if (parallel && cfg.runaheadDepth > 0)
         runahead.emplace(trace, layout, &ctx.callGraph(),
                          RunaheadConfig{cfg.runaheadDepth, cfg.runaheadK});
-    // Batched integration: inside a quiet window (nothing in flight,
-    // next scheduled start still ahead) the engine's state is frozen,
-    // so a first-use whose needed prefix has already arrived resolves
-    // to `resume == clock` by pure arithmetic — whole runs of events
-    // between watch crossings cost one predicate each instead of an
-    // engine advance. Sinked runs take the same fast path: the elided
-    // MethodWait is synthesized directly (zero stall, by the window
-    // predicate), and every event the frozen engine would eventually
-    // emit carries a cycle at or past the window bound, so the
-    // recorded stream respects the EventSink ordering contract —
-    // pinned event-for-event against the forced path by
-    // tests/runahead_test.cc. Any event the fast path cannot answer
-    // (stream mid-flight, prefix missing, possible misprediction)
-    // falls back to the exact per-event sequence, then re-arms the
-    // window. The final advanceTo below restores the engine clock the
-    // per-event integrator would have left, keeping retry/degraded
-    // accounting and the returned SimResult field-for-field identical
-    // (tests/replay_test.cc pins this against runLiveReference).
-    uint64_t quiet = cfg.forceExactReplay ? 0 : engine.quietUntil();
-    uint64_t last_resume = 0;
     size_t ev_idx = 0;
     uint64_t final_clock =
         replayTrace(trace, [&](MethodId id, uint64_t clock) {
             size_t idx = ev_idx++;
             const MethodPlacement &pl = layout.of(id);
-            if (clock < quiet &&
-                engine.hasArrived(pl.streamIdx, pl.availOffset) &&
-                !(parallel && engine.stream(pl.streamIdx).state ==
-                                  StreamState::Idle)) {
-                if (!entry_seen) {
-                    entry_seen = true;
-                    r.invocationLatency = clock;
-                }
-                observeWait(obs, clock, clock, pl.streamIdx, id,
-                            pl.availOffset);
-                last_resume = clock;
-                return clock;
-            }
             if (parallel) {
                 engine.advanceTo(clock);
                 const Stream &s = engine.stream(pl.streamIdx);
@@ -245,12 +233,8 @@ runReplay(const SimContext &ctx, const SimConfig &cfg, EventSink *obs)
                 entry_seen = true;
                 r.invocationLatency = resume;
             }
-            quiet = cfg.forceExactReplay ? 0 : engine.quietUntil();
-            last_resume = resume;
             return resume;
         });
-    if (last_resume > engine.time())
-        engine.advanceTo(last_resume);
 
     r.totalCycles = final_clock;
     r.execCycles = trace.totals.execCycles;

@@ -71,13 +71,6 @@ struct SimConfig
     uint32_t runaheadDepth = 0;
     /** Max streams runahead may promote per stall. */
     uint32_t runaheadK = 4;
-    /**
-     * Test-only: force the exact per-event integration path, never
-     * the quiet-window batched fast path. Results and observed events
-     * are identical either way — this knob exists so the equality is
-     * testable (tests/replay_test.cc, tests/runahead_test.cc).
-     */
-    bool forceExactReplay = false;
 };
 
 /** Measurements of one simulated run. */
@@ -132,6 +125,22 @@ TransferEngine makeOverlappedEngine(const SimContext &ctx,
  * to 100.0 rather than dividing by zero.
  */
 double normalizedPct(const SimResult &result, const SimResult &strict);
+
+/**
+ * Invocation latency without running (paper Table 4). Strict
+ * execution begins once the entry class file has fully transferred.
+ */
+uint64_t strictInvocationLatency(const SimContext &ctx,
+                                 const LinkModel &link);
+
+/**
+ * Non-strict invocation latency: the entry class's global data (or,
+ * with `data_partition`, just its needed-first chunk and main's GMD)
+ * plus the entry method itself.
+ */
+uint64_t nonStrictInvocationLatency(const SimContext &ctx,
+                                    const LinkModel &link,
+                                    bool data_partition);
 
 /**
  * Execute one configuration by trace replay (always on the test

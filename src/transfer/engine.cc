@@ -156,19 +156,6 @@ TransferEngine::hasArrived(int stream, uint64_t offset) const
            static_cast<double>(offset);
 }
 
-uint64_t
-TransferEngine::quietUntil() const
-{
-    // Anything in flight can make progress (or retry) at any cycle:
-    // no quiet window. A non-empty queue implies a full slot table,
-    // which implies active streams, but check it anyway.
-    if (active_ > 0 || suspended_ > 0 || !queue_.empty())
-        return time_;
-    if (pendingStarts_ == 0)
-        return UINT64_MAX;
-    return std::max(nextStart_, time_);
-}
-
 bool
 TransferEngine::slotFree() const
 {

@@ -2,16 +2,6 @@
 
 #include "support/error.h"
 
-// Computed-goto direct threading needs the GNU address-of-label
-// extension; NSE_FORCE_SWITCH_DISPATCH compiles it out so the
-// portable switch loop can be differentially tested on any compiler.
-#if !defined(NSE_FORCE_SWITCH_DISPATCH) &&                              \
-    (defined(__GNUC__) || defined(__clang__))
-#define NSE_THREADED_DISPATCH 1
-#else
-#define NSE_THREADED_DISPATCH 0
-#endif
-
 namespace nse
 {
 
@@ -557,8 +547,7 @@ Vm::runClassic()
 // ---------------------------------------------------------------------
 // Decoded-IR execution: frames carry offsets into one Value arena,
 // operands are inlined, costs pre-summed. The handler bodies live in
-// exec_loop.inc and are compiled twice — once under computed-goto
-// direct threading, once as a portable switch.
+// exec_loop.inc and run under computed-goto direct threading.
 // ---------------------------------------------------------------------
 
 void
@@ -711,8 +700,8 @@ Vm::doInvoke(uint16_t cp_idx, bool is_virtual)
         }                                                               \
     } while (0)
 
-#if NSE_THREADED_DISPATCH
-
+// Computed-goto direct threading (the GNU address-of-label extension,
+// supported by GCC and Clang — the compilers this project builds with).
 template <bool kHooked>
 void
 Vm::execThreaded()
@@ -757,52 +746,12 @@ Vm::execThreaded()
 #undef VM_NEXT
 }
 
-#else
-
-template <bool kHooked>
-void
-Vm::execThreaded()
-{
-    // Unreachable: run() routes Threaded to Switch on this build.
-    execSwitch<kHooked>();
-}
-
-#endif // NSE_THREADED_DISPATCH
-
-template <bool kHooked>
-void
-Vm::execSwitch()
-{
-    DFrame *fr = nullptr;
-    const DInst *code = nullptr;
-    uint32_t pc = 0;
-    int32_t sp = 0;
-    Value *loc = nullptr;
-    Value *stk = nullptr;
-    const DInst *d = nullptr;
-    uint64_t lclock = 0, lexec = 0, lbc = 0;
-    VM_RELOAD();
-
-#define VM_CASE(name) case DOp::name:
-#define VM_BREAK break
-
-    for (;;) {
-        VM_FETCH();
-        switch (d->op) {
-#include "vm/exec_loop.inc"
-        }
-    }
-
-#undef VM_BREAK
-#undef VM_CASE
-}
-
 #undef VM_FETCH
 #undef VM_SAVE
 #undef VM_RELOAD
 
 void
-Vm::runDecoded(bool threaded)
+Vm::runDecoded()
 {
     if (!decoded_) {
         ownedDecoded_ = std::make_unique<DecodedCache>(
@@ -817,17 +766,10 @@ Vm::runDecoded(bool threaded)
     noteFirstUse(entry);
     const DecodedMethod &dm = decoded_->get(entry);
     pushDFrame(entry, dm, /*args_off=*/0, /*n_args=*/0);
-    if (threaded) {
-        if (instr_)
-            execThreaded<true>();
-        else
-            execThreaded<false>();
-    } else {
-        if (instr_)
-            execSwitch<true>();
-        else
-            execSwitch<false>();
-    }
+    if (instr_)
+        execThreaded<true>();
+    else
+        execThreaded<false>();
 }
 
 VmResult
@@ -836,18 +778,10 @@ Vm::run()
     NSE_CHECK(!ran_, "Vm::run() called twice; construct a fresh Vm");
     ran_ = true;
 
-    DispatchMode mode = opts_.dispatch;
-#if NSE_THREADED_DISPATCH
-    if (mode == DispatchMode::Auto)
-        mode = DispatchMode::Threaded;
-#else
-    if (mode == DispatchMode::Auto || mode == DispatchMode::Threaded)
-        mode = DispatchMode::Switch;
-#endif
-    if (mode == DispatchMode::Classic)
+    if (opts_.dispatch == DispatchMode::Classic)
         runClassic();
     else
-        runDecoded(mode == DispatchMode::Threaded);
+        runDecoded();
 
     result_.methodsExecuted = seenCount_;
     return std::move(result_);

@@ -16,12 +16,11 @@
  *  - the *instruction hook* observes every executed instruction
  *    (first-use profiling, executed-bytes accounting).
  *
- * Three dispatch strategies execute the same semantics bit-exactly:
+ * Two dispatch strategies execute the same semantics bit-exactly:
  * computed-goto direct threading over the pre-decoded IR (vm/decoded.h;
- * GCC/Clang), a portable switch over the same decoded IR, and the
- * classic one-Instruction-at-a-time switch retained as the equivalence
- * oracle. Define NSE_FORCE_SWITCH_DISPATCH at build time to compile
- * out the computed-goto loop (differential testing / odd compilers).
+ * the GNU labels-as-values extension, so the build requires GCC or
+ * Clang), and the classic one-Instruction-at-a-time switch retained as
+ * the equivalence oracle.
  */
 
 #ifndef NSE_VM_INTERPRETER_H
@@ -43,15 +42,11 @@ namespace nse
 {
 
 /** How Vm::run() dispatches instructions. Results are bit-identical
- *  across all modes; only wall-clock speed differs. */
+ *  across both modes; only wall-clock speed differs. */
 enum class DispatchMode : uint8_t
 {
-    /** Threaded when the compiler supports it, else Switch. */
-    Auto,
-    /** Computed-goto direct threading on the decoded IR. */
+    /** Computed-goto direct threading on the decoded IR (production). */
     Threaded,
-    /** Portable switch on the decoded IR. */
-    Switch,
     /** The original per-Instruction switch (the oracle). */
     Classic,
 };
@@ -68,7 +63,7 @@ struct VmOptions
      * (paper §4's rejected design; used by the granularity ablation).
      */
     uint32_t blockDelimiterCost = 0;
-    DispatchMode dispatch = DispatchMode::Auto;
+    DispatchMode dispatch = DispatchMode::Threaded;
 };
 
 /** Result of one complete program execution. */
@@ -186,14 +181,13 @@ class Vm
     }
 
     void runClassic();
-    void runDecoded(bool threaded);
+    void runDecoded();
     void pushDFrame(MethodId id, const DecodedMethod &dm,
                     size_t args_off, uint32_t n_args);
     void doInvoke(uint16_t cp_idx, bool is_virtual);
     /** kHooked compiles the instruction-hook dispatch in or out, so
      *  unobserved runs carry no per-fetch hook check at all. */
     template <bool kHooked> void execThreaded();
-    template <bool kHooked> void execSwitch();
 
     const Program &prog_;
     const NativeRegistry &natives_;

@@ -9,8 +9,7 @@
  *
  * Plus a dispatch differential sweep: randomized verified program
  * shapes and inputs must produce bit-identical results (clock,
- * counts, output) under direct-threaded, decoded-switch, and classic
- * dispatch.
+ * counts, output) under direct-threaded and classic dispatch.
  */
 
 #include <gtest/gtest.h>
@@ -159,16 +158,13 @@ TEST_P(DispatchSweep, RandomProgramsAgreeAcrossDispatchModes)
             return vm.run();
         };
         VmResult oracle = run(DispatchMode::Classic, nullptr);
-        for (DispatchMode mode :
-             {DispatchMode::Threaded, DispatchMode::Switch}) {
-            VmResult got = run(mode, &dc);
-            EXPECT_EQ(got.clock, oracle.clock);
-            EXPECT_EQ(got.execCycles, oracle.execCycles);
-            EXPECT_EQ(got.bytecodes, oracle.bytecodes);
-            EXPECT_EQ(got.nativeCalls, oracle.nativeCalls);
-            EXPECT_EQ(got.methodsExecuted, oracle.methodsExecuted);
-            EXPECT_EQ(got.output, oracle.output);
-        }
+        VmResult got = run(DispatchMode::Threaded, &dc);
+        EXPECT_EQ(got.clock, oracle.clock);
+        EXPECT_EQ(got.execCycles, oracle.execCycles);
+        EXPECT_EQ(got.bytecodes, oracle.bytecodes);
+        EXPECT_EQ(got.nativeCalls, oracle.nativeCalls);
+        EXPECT_EQ(got.methodsExecuted, oracle.methodsExecuted);
+        EXPECT_EQ(got.output, oracle.output);
     }
 }
 

@@ -11,7 +11,7 @@
 #include "analysis/first_use.h"
 #include "profile/first_use_profile.h"
 #include "restructure/reorder.h"
-#include "sim/simulator.h"
+#include "sim/replay.h"
 #include "vm/interpreter.h"
 #include "vm/verifier.h"
 #include "workloads/workload.h"
@@ -65,19 +65,19 @@ TEST_P(WorkloadIntegration, ReorderedProgramBehavesIdentically)
 
 TEST_P(WorkloadIntegration, NonStrictBeatsStrictOnModem)
 {
-    Simulator sim(wl_.program, wl_.natives, wl_.trainInput,
-                  wl_.testInput);
+    SimContext ctx(wl_.program, wl_.natives, wl_.trainInput,
+                   wl_.testInput);
     SimConfig strict;
     strict.mode = SimConfig::Mode::Strict;
     strict.link = kModemLink;
-    SimResult strict_r = sim.run(strict);
+    SimResult strict_r = runReplay(ctx, strict);
 
     SimConfig cfg;
     cfg.mode = SimConfig::Mode::Parallel;
     cfg.ordering = OrderingSource::Test;
     cfg.link = kModemLink;
     cfg.parallelLimit = 4;
-    SimResult r = sim.run(cfg);
+    SimResult r = runReplay(ctx, cfg);
 
     EXPECT_LE(r.totalCycles, strict_r.totalCycles);
     EXPECT_LE(r.invocationLatency, strict_r.invocationLatency);
@@ -87,18 +87,18 @@ TEST_P(WorkloadIntegration, NonStrictBeatsStrictOnModem)
 
 TEST_P(WorkloadIntegration, InterleavedBeatsStrictOnModem)
 {
-    Simulator sim(wl_.program, wl_.natives, wl_.trainInput,
-                  wl_.testInput);
+    SimContext ctx(wl_.program, wl_.natives, wl_.trainInput,
+                   wl_.testInput);
     SimConfig strict;
     strict.mode = SimConfig::Mode::Strict;
     strict.link = kModemLink;
-    SimResult strict_r = sim.run(strict);
+    SimResult strict_r = runReplay(ctx, strict);
 
     SimConfig cfg;
     cfg.mode = SimConfig::Mode::Interleaved;
     cfg.ordering = OrderingSource::Test;
     cfg.link = kModemLink;
-    SimResult r = sim.run(cfg);
+    SimResult r = runReplay(ctx, cfg);
     EXPECT_LT(normalizedPct(r, strict_r), 100.0);
 }
 

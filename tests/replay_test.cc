@@ -14,7 +14,6 @@
 
 #include "obs/event.h"
 #include "sim/replay.h"
-#include "sim/simulator.h"
 #include "workloads/synthetic.h"
 #include "workloads/workload.h"
 
@@ -148,29 +147,11 @@ TEST(Replay, MatchesLiveCoSimulationOnSyntheticProgram)
     checkAllConfigs(ctx);
 }
 
-TEST(Replay, FacadeRunIsReplay)
+TEST(Replay, SinkDoesNotPerturbResult)
 {
-    // The Simulator façade must route through the replay executor.
-    Workload wl = makeZipper();
-    Simulator sim(wl.program, wl.natives, wl.trainInput, wl.testInput);
-    SimConfig cfg;
-    cfg.mode = SimConfig::Mode::Parallel;
-    cfg.ordering = OrderingSource::Train;
-    cfg.link = kModemLink;
-    cfg.parallelLimit = 2;
-    expectIdentical(sim.run(cfg), runReplay(sim.context(), cfg),
-                    "facade");
-}
-
-TEST(Replay, BatchedIntegratorMatchesForcedPerEventPath)
-{
-    // forceExactReplay pins runReplay to the exact per-event
-    // integration path; by default the quiet-window fast path may
-    // answer whole runs of first-uses arithmetically, with or without
-    // a sink attached (sinked runs synthesize the elided MethodWait
-    // events — tests/runahead_test.cc pins the recorded streams equal
-    // event for event). All three must return field-for-field
-    // identical results on every sampled configuration.
+    // Attaching an EventSink only observes a run: the result must be
+    // field-for-field identical with and without one on every sampled
+    // configuration.
     class NullSink : public EventSink
     {
       public:
@@ -196,17 +177,9 @@ TEST(Replay, BatchedIntegratorMatchesForcedPerEventPath)
                 cfg.dataPartition = v.partition;
                 cfg.classStrict = v.classStrict;
                 cfg.faults = v.faults;
-                SimConfig forced = cfg;
-                forced.forceExactReplay = true;
-                SimResult batched = runReplay(ctx, cfg);
-                expectIdentical(
-                    batched, runReplay(ctx, forced),
-                    cat("forced ", v.name,
-                        " mode=", static_cast<int>(mode),
-                        " ord=", orderingName(ord)));
                 NullSink sink;
                 expectIdentical(
-                    batched, runReplay(ctx, cfg, &sink),
+                    runReplay(ctx, cfg), runReplay(ctx, cfg, &sink),
                     cat("sinked ", v.name,
                         " mode=", static_cast<int>(mode),
                         " ord=", orderingName(ord)));

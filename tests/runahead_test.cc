@@ -1,19 +1,16 @@
 /**
  * @file
  * Acceptance gate of online runahead transfer scheduling
- * (src/transfer/runahead.h) and the replay/server fast-path fixes
- * that ride along with it:
+ * (src/transfer/runahead.h) and the server fix that rides along
+ * with it:
  *
  *  - runaheadDepth=0 (the default) is bit-identical to static replay:
  *    same SimResult fields, same recorded event stream, no
  *    RunaheadPromote/RunaheadDefer events — the knob cannot perturb a
  *    run that does not ask for it;
- *  - the quiet-window batched fast path now runs with an EventSink
- *    attached, synthesizing the elided MethodWait events; the
- *    recorded stream is pinned equal event for event against the
- *    forced per-event path (SimConfig::forceExactReplay);
- *  - with runahead enabled, runReplay stays field-for-field identical
- *    to runLiveReference (the interpreter-in-the-loop co-simulation);
+ *  - runReplay stays field-for-field and event-for-event identical
+ *    to runLiveReference (the interpreter-in-the-loop co-simulation),
+ *    with runahead off and on;
  *  - on a genuinely mispredicting train-on-A/run-on-B workload,
  *    runahead reduces total stall versus the static schedule, the
  *    stall report attributes misprediction-recovery cycles, and the
@@ -177,13 +174,11 @@ TEST(Runahead, DepthZeroIsBitIdenticalToStaticReplay)
     }
 }
 
-TEST(Runahead, SinkedFastPathEventsMatchForcedExactPath)
+TEST(Runahead, ReplayEventsMatchLiveReference)
 {
-    // Satellite fix: the quiet-window batched integrator used to turn
-    // itself off whenever an EventSink was attached. It now runs and
-    // synthesizes the elided MethodWait events; the recorded stream
-    // must equal the forced per-event path event for event — with
-    // runahead off and on.
+    // The recorded event stream of a replayed run must equal the
+    // interpreter-in-the-loop reference's event for event, across the
+    // variant grid — with runahead off and on.
     const SimContext &ctx = zipperCtx();
     const OrderingSource orders[] = {OrderingSource::Static,
                                      OrderingSource::Train,
@@ -199,15 +194,13 @@ TEST(Runahead, SinkedFastPathEventsMatchForcedExactPath)
                 cfg.dataPartition = v.partition;
                 cfg.faults = v.faults;
                 cfg.runaheadDepth = depth;
-                SimConfig forced = cfg;
-                forced.forceExactReplay = true;
                 std::string what = cat(v.name, " ord=",
                                        orderingName(ord), " depth=",
                                        depth);
-                EventTrace batched, exact;
-                expectIdentical(runReplay(ctx, cfg, &batched),
-                                runReplay(ctx, forced, &exact), what);
-                expectSameEvents(batched, exact, what);
+                EventTrace replay, live;
+                expectIdentical(runReplay(ctx, cfg, &replay),
+                                runLiveReference(ctx, cfg, &live), what);
+                expectSameEvents(replay, live, what);
             }
         }
     }

@@ -572,7 +572,8 @@ TEST(VmHooks, InputNativesReadArgs)
 }
 
 // ---------------------------------------------------------------------
-// Dispatch equivalence: every decoded mode against the Classic oracle.
+// Dispatch equivalence: threaded decoded dispatch against the Classic
+// oracle.
 // ---------------------------------------------------------------------
 
 VmResult
@@ -602,14 +603,9 @@ TEST(VmDispatch, ModesAgreeOnEveryWorkload)
 {
     for (const Workload &wl : allWorkloads()) {
         DecodedCache dc(wl.program);
-        VmResult oracle = runWith(wl, DispatchMode::Classic, nullptr);
-        for (DispatchMode mode :
-             {DispatchMode::Threaded, DispatchMode::Switch,
-              DispatchMode::Auto}) {
-            expectSameRun(runWith(wl, mode, &dc), oracle,
-                          cat(wl.name, " mode=",
-                              static_cast<int>(mode)));
-        }
+        expectSameRun(runWith(wl, DispatchMode::Threaded, &dc),
+                      runWith(wl, DispatchMode::Classic, nullptr),
+                      wl.name);
     }
 }
 
@@ -621,17 +617,13 @@ TEST(VmDispatch, ModesAgreeUnderBlockDelimiterCost)
     // the mismatch and decode privately at cost 9.
     Workload wl = makeZipper();
     DecodedCache dc(wl.program, /*block_delimiter_cost=*/0);
-    VmResult oracle = runWith(wl, DispatchMode::Classic, nullptr, 9);
-    for (DispatchMode mode :
-         {DispatchMode::Threaded, DispatchMode::Switch}) {
-        expectSameRun(runWith(wl, mode, &dc, 9), oracle,
-                      cat("bdc mode=", static_cast<int>(mode)));
-    }
+    expectSameRun(runWith(wl, DispatchMode::Threaded, &dc, 9),
+                  runWith(wl, DispatchMode::Classic, nullptr, 9), "bdc");
 }
 
 TEST(VmDispatch, HookSequencesAreBitIdenticalAcrossModes)
 {
-    // Under an instruction hook the decoded loops run the plain
+    // Under an instruction hook the decoded loop runs the plain
     // (unfused) stream: the hook must see every source bytecode with
     // the same offsets and clocks as the classic interpreter, and the
     // first-use hook the same methods in the same order at the same
@@ -673,14 +665,9 @@ TEST(VmDispatch, HookSequencesAreBitIdenticalAcrossModes)
 
     Seq oracle = record(DispatchMode::Classic);
     ASSERT_FALSE(oracle.instrs.empty());
-    for (DispatchMode mode :
-         {DispatchMode::Threaded, DispatchMode::Switch}) {
-        Seq got = record(mode);
-        EXPECT_EQ(got.instrs, oracle.instrs)
-            << "mode=" << static_cast<int>(mode);
-        EXPECT_EQ(got.firstUses, oracle.firstUses)
-            << "mode=" << static_cast<int>(mode);
-    }
+    Seq got = record(DispatchMode::Threaded);
+    EXPECT_EQ(got.instrs, oracle.instrs);
+    EXPECT_EQ(got.firstUses, oracle.firstUses);
 }
 
 } // namespace
