@@ -183,7 +183,6 @@ main(int argc, char **argv)
         opts.uplinkBytesPerCycle = capacity;
         opts.allocator = &equal;
         opts.arrivals = benchArrivals();
-        opts.pool = &benchRunner();
         return opts;
     };
 

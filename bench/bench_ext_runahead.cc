@@ -202,7 +202,6 @@ runFleet(const std::vector<BenchEntry> &entries, size_t n,
     opts.arrivals.kind = ArrivalKind::Uniform;
     opts.arrivals.seed = 1998;
     opts.arrivals.windowCycles = 2'000'000;
-    opts.pool = &benchRunner();
     ServerResult res = runServer(makeFleet(entries, n, depth), opts);
     FleetOutcome out;
     out.makespan = res.makespan;

@@ -216,7 +216,6 @@ main(int argc, char **argv)
             opts.uplinkBytesPerCycle = capacity;
             opts.allocator = alloc.get();
             opts.arrivals = benchArrivals();
-            opts.pool = &benchRunner();
             CellOutcome cell = runCell(fleet, opts, soloTotals);
             t.addRow({cat(n, " clients"), fmtMillions(cell.p50, 2),
                       fmtMillions(cell.p95, 2),
@@ -260,7 +259,6 @@ main(int argc, char **argv)
             opts.uplinkBytesPerCycle = capacity;
             opts.allocator = equal.get();
             opts.arrivals = benchArrivals();
-            opts.pool = &benchRunner();
             opts.admissionLimit = limit;
             ServerResult sr = runServer(fleet, opts);
             std::vector<uint64_t> stalls, waits;
@@ -349,7 +347,6 @@ main(int argc, char **argv)
         opts.uplinkBytesPerCycle = capacity;
         opts.allocator = equal.get();
         opts.arrivals = benchArrivals();
-        opts.pool = &benchRunner();
         ServerResult sr = runServer(fleet, opts);
 
         Table t({"Class (64 clients, equal)", "Clients",

@@ -43,10 +43,10 @@
  *   insertedBytes - evictedBytes == residentBytes
  *   bytesServed == bytesFromOrigin + hit/join-served bytes
  *
- * Thread safety: none. The server event loop mutates the cache only
- * from its serial transition section; the sharded candidate pass uses
- * the const queries (fetchReady / nextFetchStep / time / stats),
- * which are pure reads and safe concurrently with each other.
+ * Thread safety: none. The server event loop, which runs on one
+ * thread, mutates the cache from its transition section and reads it
+ * through the const queries (fetchReady / nextFetchStep / time /
+ * stats).
  */
 
 #ifndef NSE_CACHE_EDGE_CACHE_H

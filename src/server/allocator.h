@@ -20,8 +20,7 @@
  *  - sum(rates) <= capacity (checked by tests via the server's
  *    allocation probe);
  *  - non-demanding clients receive exactly 0;
- *  - the result is a pure, deterministic function of the arguments
- *    (the server's k-thread == 1-thread determinism depends on it);
+ *  - the result is a pure, deterministic function of the arguments;
  *  - a single demanding client whose nominal rate fits the capacity
  *    receives exactly its nominal rate, so a one-client server run
  *    reproduces the solo engine bit-for-bit.

@@ -3,8 +3,8 @@
  * Seeded deterministic client arrival plans for the server
  * simulation: when each of N clients shows up and starts drawing on
  * the shared uplink. Everything is a pure function of (plan, N) —
- * same plan, same arrival cycles, whatever thread count or host runs
- * the simulation (support/rng.h discipline).
+ * same plan, same arrival cycles, whatever host runs the simulation
+ * (support/rng.h discipline).
  */
 
 #ifndef NSE_SERVER_ARRIVALS_H

@@ -408,8 +408,7 @@ setupClient(ClientRt &rt, size_t idx, const ServerOptions &opts)
 
 /** Recompute the client's cached event candidates (global cycles).
  *  `cache` is the run's edge cache (null = cacheless); only the
- *  FetchWait case consults it, through const pure queries, so the
- *  sharded candidate pass stays race-free. */
+ *  FetchWait case consults it. */
 void
 computeCandidates(ClientRt &rt, const EdgeCache *cache)
 {
@@ -485,11 +484,20 @@ ServerResult
 runServer(const std::vector<ClientSpec> &clients,
           const ServerOptions &opts)
 {
-    NSE_CHECK(opts.uplinkBytesPerCycle > 0.0,
-              "server uplink capacity must be positive");
+    if (!(std::isfinite(opts.uplinkBytesPerCycle) &&
+          opts.uplinkBytesPerCycle > 0.0)) {
+        fatal("ServerOptions::uplinkBytesPerCycle must be finite and "
+              "> 0, got ", opts.uplinkBytesPerCycle);
+    }
     NSE_CHECK(opts.allocator != nullptr, "server needs an allocator");
     size_t n = clients.size();
     NSE_CHECK(n > 0, "server needs at least one client");
+    for (size_t i = 0; i < n; ++i) {
+        double w = clients[i].weight;
+        if (!(std::isfinite(w) && w > 0.0))
+            fatal("ClientSpec::weight of client ", i,
+                  " must be finite and > 0, got ", w);
+    }
 
     const bool linear = opts.loop == ServerLoop::LinearScan;
     const bool deadlineAware = opts.allocator->usesDeadlines();
@@ -509,17 +517,6 @@ runServer(const std::vector<ClientSpec> &clients,
                               : clients[i].name;
         computeCandidates(rts[i], opts.edgeCache);
     }
-
-    bool shard = opts.pool != nullptr && n >= opts.parallelThreshold;
-    auto forEach = [&](const std::vector<size_t> &idx, auto &&fn) {
-        if (shard && idx.size() > 1) {
-            opts.pool->parallelFor(idx.size(),
-                                   [&](size_t k) { fn(idx[k]); });
-        } else {
-            for (size_t k : idx)
-                fn(k);
-        }
-    };
 
     // Priority queue over per-client candidates; unused by the
     // linear-scan reference loop.
@@ -578,7 +575,7 @@ runServer(const std::vector<ClientSpec> &clients,
 
     ServerResult result;
     std::vector<double> rates(n, 0.0), appliedRates(n, 0.0);
-    std::vector<size_t> actors, retimed, allIdx;
+    std::vector<size_t> actors, retimed;
     std::vector<uint8_t> dirty(n, 0);
     std::vector<size_t> dirtyList;
     auto markDirty = [&](size_t i) {
@@ -587,11 +584,6 @@ runServer(const std::vector<ClientSpec> &clients,
             dirtyList.push_back(i);
         }
     };
-    if (linear) {
-        allIdx.resize(n);
-        for (size_t i = 0; i < n; ++i)
-            allIdx[i] = i;
-    }
     // Next cycle the allocator's output could change on its own
     // (aging edges); UINT64_MAX for demand-driven policies.
     uint64_t allocRefreshAt = UINT64_MAX;
@@ -678,12 +670,10 @@ runServer(const std::vector<ClientSpec> &clients,
         ++result.events;
 
         // Integrate every acting engine to T under the rates in
-        // effect since the previous event (per-client state only:
-        // shards deterministically).
-        forEach(actors, [&](size_t i) {
+        // effect since the previous event.
+        for (size_t i : actors)
             if (rts[i].engine && !draining(rts[i]))
                 engineAdvance(rts[i], T);
-        });
 
         // Client-level transitions, in index order: arrivals first
         // (so a client arriving at T competes for bandwidth from T
@@ -732,9 +722,8 @@ runServer(const std::vector<ClientSpec> &clients,
 
         // Fresh candidates for everyone who acted, so the demand
         // refresh below sees current next-first-use instants.
-        forEach(actors, [&](size_t i) {
+        for (size_t i : actors)
             computeCandidates(rts[i], opts.edgeCache);
-        });
 
         // Incremental demand: refresh only touched clients, and call
         // the allocator only when its output could actually change.
@@ -782,20 +771,17 @@ runServer(const std::vector<ClientSpec> &clients,
                                       : 0.0;
                     if (!demands[i].demanding)
                         mult = rt.mult; // idle engine: keep the share
-                    if (!nearlyEqualRate(mult, rt.mult)) {
-                        rt.mult = mult;
-                        retimed.push_back(i);
-                    }
-                }
-                forEach(retimed, [&](size_t i) {
-                    engineAdvance(rts[i], T);
-                    rts[i].engine->setExternalRate(rts[i].mult);
-                });
-                // A retimed engine may have completed streams while
-                // advancing: its demand must be re-read next event.
-                if (!linear)
-                    for (size_t i : retimed)
+                    if (nearlyEqualRate(mult, rt.mult))
+                        continue;
+                    rt.mult = mult;
+                    engineAdvance(rt, T);
+                    rt.engine->setExternalRate(mult);
+                    retimed.push_back(i);
+                    // The engine may have completed streams while
+                    // advancing: its demand must be re-read next event.
+                    if (!linear)
                         markDirty(i);
+                }
             }
         }
 
@@ -806,12 +792,11 @@ runServer(const std::vector<ClientSpec> &clients,
         std::sort(actors.begin(), actors.end());
         actors.erase(std::unique(actors.begin(), actors.end()),
                      actors.end());
-        forEach(actors, [&](size_t i) {
+        for (size_t i : actors) {
             computeCandidates(rts[i], opts.edgeCache);
-        });
-        if (!linear)
-            for (size_t i : actors)
+            if (!linear)
                 pushCandidate(i);
+        }
     }
 
     result.clients.reserve(n);

@@ -52,10 +52,10 @@
  * this), and a fleet whose uplink never saturates reproduces every
  * client's solo result simultaneously.
  *
- * Scaling: per-event engine advancement and candidate recomputation
- * touch only per-client state, so they shard across an
- * ExperimentRunner pool; allocation itself is a serial fold in client
- * index order. Results are bit-identical for any thread count.
+ * The loop runs on the calling thread. Parallelism belongs across
+ * independent runs (sim/runner.h), not inside one: per-event work is
+ * a few clients' engine steps, too little to pay for a thread
+ * hand-off.
  *
  * Observability: each client can be given its own EventSink; it sees
  * the same event stream a solo runReplay would emit (engine lifecycle
@@ -76,7 +76,6 @@
 #include "server/allocator.h"
 #include "server/arrivals.h"
 #include "sim/replay.h"
-#include "sim/runner.h"
 
 namespace nse
 {
@@ -87,7 +86,8 @@ struct ClientSpec
 {
     const SimContext *ctx = nullptr;
     SimConfig config;
-    /** Relative uplink share (WeightedShareAllocator). */
+    /** Relative uplink share (WeightedShareAllocator); must be finite
+     *  and > 0 under every allocator. */
     double weight = 1.0;
     /** Label used in results; "" = "client-<index>". */
     std::string name;
@@ -106,8 +106,9 @@ enum class ServerLoop : uint8_t
 /** Server-side simulation parameters. */
 struct ServerOptions
 {
-    /** Uplink capacity, bytes per cycle; must be > 0. A convenient
-     *  scale: linkRate(kT1Link) is one T1 client's nominal demand. */
+    /** Uplink capacity, bytes per cycle; must be finite and > 0. A
+     *  convenient scale: linkRate(kT1Link) is one T1 client's nominal
+     *  demand. */
     double uplinkBytesPerCycle = 0.0;
     /** Cross-client allocation policy; must be non-null. */
     const BandwidthAllocator *allocator = nullptr;
@@ -139,11 +140,6 @@ struct ServerOptions
      * sequential runServer calls but never concurrent ones.
      */
     EdgeCache *edgeCache = nullptr;
-    /** Optional pool for sharding per-client work; null = serial. */
-    const ExperimentRunner *pool = nullptr;
-    /** Minimum client count before the pool engages (per-event
-     *  sharding has fixed overhead; small fleets run serial). */
-    size_t parallelThreshold = 128;
     /**
      * Per-client observer factory (obs/event.h); null = unobserved.
      * Called once per client at its admission, from the event loop
@@ -193,7 +189,7 @@ struct ServerResult
      *  the water-filling 1e-12 relative tolerance). */
     uint64_t allocationIntervals = 0;
     /** Global events the loop processed (identical across loop
-     *  strategies and thread counts). */
+     *  strategies). */
     uint64_t events = 0;
     /** Allocator invocations. The priority-queue loop skips calls
      *  whose output provably cannot change, so this is its measure

@@ -7,17 +7,19 @@
  *    whole module is designed around);
  *  - a fleet whose uplink never saturates reproduces every client's
  *    solo result simultaneously;
- *  - results are bit-identical for any thread count;
  *  - at every allocation instant the rates conserve uplink capacity
  *    and respect per-client nominal caps;
  *  - allocator policies order outcomes the way they promise
  *    (weighted favors weight, deadline favors the earliest waiter);
  *  - per-client stall reports reconstruct, and their merge (satellite
- *    of the same PR) reconstructs the fleet.
+ *    of the same PR) reconstructs the fleet;
+ *  - a non-finite or non-positive uplink capacity or client weight is
+ *    rejected at entry by a message that names the field.
  */
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 
 #include "obs/stall.h"
@@ -237,67 +239,6 @@ TEST(ServerSim, AmpleUplinkReproducesEverySoloResult)
         EXPECT_EQ(sr.clients[i].arrival, arrivals[i]);
         EXPECT_EQ(sr.clients[i].finished,
                   arrivals[i] + ref.totalCycles);
-    }
-}
-
-TEST(ServerSim, ThreadCountDoesNotChangeResults)
-{
-    // k-thread == 1-thread, byte for byte: every result field and
-    // every observed event. parallelThreshold = 1 forces the pool
-    // onto every per-event phase even for this small fleet.
-    std::vector<ClientSpec> clients;
-    SimConfig parallel = baseConfig(SimConfig::Mode::Parallel, kT1Link);
-    SimConfig faulted = baseConfig(SimConfig::Mode::Parallel, kT1Link);
-    faulted.faults = faultyPlan();
-    SimConfig inter = baseConfig(SimConfig::Mode::Interleaved, kT1Link);
-    for (int i = 0; i < 2; ++i) {
-        clients.push_back({&zipperCtx(), parallel, 1.0,
-                           cat("par-", i)});
-        clients.push_back({&zipperCtx(), faulted, 2.0,
-                           cat("faulted-", i)});
-        clients.push_back({&hanoiCtx(), inter, 1.0, cat("int-", i)});
-    }
-
-    ServerOptions opts;
-    opts.uplinkBytesPerCycle = 1.5 * linkRate(kT1Link); // contended
-    opts.allocator = nullptr;                           // set below
-    opts.arrivals.kind = ArrivalKind::Uniform;
-    opts.arrivals.seed = 11;
-    opts.arrivals.windowCycles = 400'000;
-
-    for (const char *name : {"equal", "weighted", "deadline"}) {
-        auto alloc = makeAllocator(name);
-        opts.allocator = alloc.get();
-
-        opts.pool = nullptr;
-        std::vector<std::unique_ptr<EventTrace>> serialSinks;
-        ServerResult serial = runObserved(clients, opts, serialSinks);
-
-        ExperimentRunner pool(3);
-        opts.pool = &pool;
-        opts.parallelThreshold = 1;
-        std::vector<std::unique_ptr<EventTrace>> pooledSinks;
-        ServerResult pooled = runObserved(clients, opts, pooledSinks);
-        opts.pool = nullptr;
-        opts.parallelThreshold = 128;
-
-        EXPECT_EQ(serial.makespan, pooled.makespan) << name;
-        EXPECT_EQ(serial.allocationIntervals,
-                  pooled.allocationIntervals)
-            << name;
-        ASSERT_EQ(serial.clients.size(), pooled.clients.size());
-        for (size_t i = 0; i < serial.clients.size(); ++i) {
-            std::string what = cat(name, " client ", i);
-            EXPECT_EQ(serial.clients[i].arrival,
-                      pooled.clients[i].arrival)
-                << what;
-            EXPECT_EQ(serial.clients[i].finished,
-                      pooled.clients[i].finished)
-                << what;
-            expectSameResult(serial.clients[i].sim,
-                             pooled.clients[i].sim, what);
-            expectSameEvents(*serialSinks[i], *pooledSinks[i], what);
-        }
     }
 }
 
@@ -627,14 +568,12 @@ TEST(ServerSim, HeapLoopMatchesLinearScanOn512Clients)
     }
 
     EqualShareAllocator equal;
-    ExperimentRunner pool(4);
     ServerOptions opts;
     opts.uplinkBytesPerCycle = 8.0 * linkRate(kT1Link);
     opts.allocator = &equal;
     opts.arrivals.kind = ArrivalKind::Uniform;
     opts.arrivals.seed = 1998;
     opts.arrivals.windowCycles = 2'000'000;
-    opts.pool = &pool;
 
     opts.loop = ServerLoop::PriorityQueue;
     ServerResult heap = runServer(clients, opts);
@@ -721,6 +660,64 @@ TEST(ServerSim, ArrivalPlansSaturateInsteadOfWrapping)
     EXPECT_TRUE(std::is_sorted(b.begin(), b.end()));
     EXPECT_EQ(b.back(), UINT64_MAX);
 }
+
+/** Run the fleet and expect a FatalError whose message names `field`:
+ *  a bad config value must be rejected at entry, by name, not die
+ *  later as some downstream symptom. */
+void
+expectRejected(const std::vector<ClientSpec> &clients,
+               const ServerOptions &opts, const std::string &field)
+{
+    try {
+        runServer(clients, opts);
+        ADD_FAILURE() << field << ": bad value accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+            << e.what();
+    }
+}
+
+/** Values no numeric server config field may take. */
+class ServerRejectsBadConfig : public ::testing::TestWithParam<double>
+{
+};
+
+TEST_P(ServerRejectsBadConfig, UplinkBytesPerCycle)
+{
+    SimConfig cfg = baseConfig(SimConfig::Mode::Parallel, kT1Link);
+    std::vector<ClientSpec> clients = {{&hanoiCtx(), cfg, 1.0, "a"}};
+    EqualShareAllocator equal;
+    ServerOptions opts;
+    opts.uplinkBytesPerCycle = GetParam();
+    opts.allocator = &equal;
+    expectRejected(clients, opts, "ServerOptions::uplinkBytesPerCycle");
+}
+
+TEST_P(ServerRejectsBadConfig, ClientWeight)
+{
+    SimConfig cfg = baseConfig(SimConfig::Mode::Parallel, kT1Link);
+    std::vector<ClientSpec> clients = {
+        {&hanoiCtx(), cfg, 1.0, "a"}, {&hanoiCtx(), cfg, GetParam(), "b"}};
+    WeightedShareAllocator weighted;
+    ServerOptions opts;
+    opts.uplinkBytesPerCycle = linkRate(kT1Link);
+    opts.allocator = &weighted;
+    expectRejected(clients, opts, "ClientSpec::weight of client 1");
+}
+
+const double kBadValues[] = {std::numeric_limits<double>::infinity(),
+                             std::numeric_limits<double>::quiet_NaN(),
+                             0.0, -1.0};
+
+std::string
+badValueName(const ::testing::TestParamInfo<double> &info)
+{
+    const char *names[] = {"PosInf", "NaN", "Zero", "Negative"};
+    return names[info.index];
+}
+
+INSTANTIATE_TEST_SUITE_P(NonFiniteOrNonPositive, ServerRejectsBadConfig,
+                         ::testing::ValuesIn(kBadValues), badValueName);
 
 } // namespace
 } // namespace nse
