@@ -13,8 +13,7 @@
  *
  * The method-level column replays the context's recorded trace; the
  * block-level column replays a second trace recorded with the
- * per-block delimiter charge (both traces come from the shared
- * on-disk cache, so neither costs an interpretation on warm runs).
+ * per-block delimiter charge.
  */
 
 #include "analysis/cfg.h"
@@ -96,8 +95,7 @@ main(int argc, char **argv)
         block_opts.blockDelimiterCost = 12;
         ExecTrace block_trace =
             recordTrace(e.workload.program, e.workload.natives,
-                        e.workload.testInput, block_opts,
-                        benchCacheDir());
+                        e.workload.testInput, block_opts);
 
         std::vector<std::string> row{e.workload.name};
         for (const LinkModel &link : {kT1Link, kModemLink}) {

@@ -6,11 +6,9 @@
  * substrate; the shapes are what reproduce).
  *
  * Every bench builds its workloads through one shared SimContext per
- * workload (record-once) and evaluates configurations by trace
- * replay on the ExperimentRunner pool (replay-many). Instrumented
- * runs are cached on disk across binaries — NSE_BENCH_CACHE names the
- * cache directory (default .nse-bench-cache; "off" disables) — so a
- * full suite run interprets each workload input once in total.
+ * workload (record-once: each input is interpreted once per binary)
+ * and evaluates configurations by trace replay on the
+ * ExperimentRunner pool (replay-many).
  * Besides its text tables, each bench writes BENCH_<name>.json
  * (report/json.h) carrying the observability counters under
  * "metrics", and accepts --trace-out=<file> to additionally record
@@ -45,15 +43,6 @@ struct BenchEntry
     std::shared_ptr<const SimContext> ctx;
 };
 
-/** Cross-binary cache directory for instrumented runs ("" = off). */
-inline std::string
-benchCacheDir()
-{
-    const char *env = std::getenv("NSE_BENCH_CACHE");
-    std::string dir = env ? env : ".nse-bench-cache";
-    return dir == "off" ? "" : dir;
-}
-
 /** The shared experiment pool (NSE_BENCH_THREADS; 0 = hardware). */
 inline const ExperimentRunner &
 benchRunner()
@@ -75,11 +64,10 @@ benchWorkloads()
         e.workload = std::move(w);
         out.push_back(std::move(e));
     }
-    std::string cache = benchCacheDir();
     for (BenchEntry &e : out) {
         e.ctx = std::make_shared<SimContext>(
             e.workload.program, e.workload.natives,
-            e.workload.trainInput, e.workload.testInput, cache);
+            e.workload.trainInput, e.workload.testInput);
     }
     return out;
 }

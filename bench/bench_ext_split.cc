@@ -36,8 +36,7 @@ struct Row
 Row
 measure(const Workload &w)
 {
-    SimContext ctx(w.program, w.natives, w.trainInput, w.testInput,
-                   benchCacheDir());
+    SimContext ctx(w.program, w.natives, w.trainInput, w.testInput);
     SimConfig strict;
     strict.mode = SimConfig::Mode::Strict;
     strict.link = kModemLink;

@@ -42,30 +42,49 @@ BenchJson::addTable(const std::string &label, const Table &table)
     tables_.push_back({label, table.headers(), table.rows()});
 }
 
-void
-BenchJson::setMetricRaw(const std::string &key, std::string rendered)
+namespace
 {
-    for (auto &[k, v] : metrics_) {
+
+/** Set `key` in an insertion-ordered field list (last set wins). */
+void
+setField(std::vector<std::pair<std::string, std::string>> &fields,
+         const std::string &key, std::string rendered)
+{
+    for (auto &[k, v] : fields) {
         if (k == key) {
             v = std::move(rendered);
             return;
         }
     }
-    metrics_.emplace_back(key, std::move(rendered));
+    fields.emplace_back(key, std::move(rendered));
 }
+
+std::string
+renderDouble(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.6g", value);
+    return buf;
+}
+
+} // namespace
 
 void
 BenchJson::setMetric(const std::string &key, uint64_t value)
 {
-    setMetricRaw(key, std::to_string(value));
+    setField(metrics_, key, std::to_string(value));
 }
 
 void
 BenchJson::setMetric(const std::string &key, double value)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.6g", value);
-    setMetricRaw(key, buf);
+    setField(metrics_, key, renderDouble(value));
+}
+
+void
+BenchJson::setTiming(const std::string &key, double value)
+{
+    setField(timing_, key, renderDouble(value));
 }
 
 std::string
@@ -79,13 +98,19 @@ BenchJson::str() const
         os << "]";
     };
 
-    os << "{\n  \"bench\": " << jsonQuote(name_)
-       << ",\n  \"metrics\": {";
-    for (size_t m = 0; m < metrics_.size(); ++m) {
-        os << (m ? ", " : "") << jsonQuote(metrics_[m].first) << ": "
-           << metrics_[m].second;
-    }
-    os << "},\n  \"tables\": [";
+    auto emitFields = [&](const char *name, const Fields &fields) {
+        os << ",\n  " << jsonQuote(name) << ": {";
+        for (size_t i = 0; i < fields.size(); ++i)
+            os << (i ? ", " : "") << jsonQuote(fields[i].first) << ": "
+               << fields[i].second;
+        os << "}";
+    };
+
+    os << "{\n  \"bench\": " << jsonQuote(name_);
+    emitFields("metrics", metrics_);
+    if (!timing_.empty())
+        emitFields("timing", timing_);
+    os << ",\n  \"tables\": [";
     for (size_t t = 0; t < tables_.size(); ++t) {
         const Entry &e = tables_[t];
         os << (t ? ",\n    {" : "\n    {");

@@ -19,7 +19,11 @@
  * "metrics" carries the run counters of the observability layer
  * (obs/metrics.h): stall totals, retry counts, degraded cycles, event
  * counts. It is always present (empty when a bench sets none) so
- * consumers can rely on the shape.
+ * consumers can rely on the shape, and it holds only deterministic
+ * values, so two runs of one build write equal "metrics".
+ *
+ * Host wall-clock figures (speedups, throughputs) go in a separate
+ * "timing" object after "metrics", emitted only when a bench sets one.
  */
 
 #ifndef NSE_REPORT_JSON_H
@@ -52,6 +56,10 @@ class BenchJson
     void setMetric(const std::string &key, uint64_t value);
     void setMetric(const std::string &key, double value);
 
+    /** Set one "timing" value (a host wall-clock figure; same
+     *  last-set-wins, insertion-ordered semantics as setMetric). */
+    void setTiming(const std::string &key, double value);
+
     /** Serialize to the canonical JSON document. */
     std::string str() const;
 
@@ -74,12 +82,13 @@ class BenchJson
         std::vector<std::vector<std::string>> rows;
     };
 
-    void setMetricRaw(const std::string &key, std::string rendered);
+    /** (key, rendered JSON value), in insertion order. */
+    using Fields = std::vector<std::pair<std::string, std::string>>;
 
     std::string name_;
     std::vector<Entry> tables_;
-    /** (key, rendered JSON value), in insertion order. */
-    std::vector<std::pair<std::string, std::string>> metrics_;
+    Fields metrics_;
+    Fields timing_;
 };
 
 } // namespace nse

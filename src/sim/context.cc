@@ -1,12 +1,6 @@
 #include "sim/context.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
-#include <filesystem>
-#include <fstream>
-#include <sstream>
-#include <unistd.h>
 
 #include "classfile/writer.h"
 #include "support/error.h"
@@ -31,17 +25,7 @@ orderingName(OrderingSource src)
 namespace
 {
 
-// ---------------------------------------------------------------------
-// Content hashing for the on-disk cache.
-//
-// A cached profile/trace is valid only for the exact program bytes,
-// native cycle costs, input values, and interpreter options that
-// produced it, so the file name is an FNV-1a hash over all of them
-// (plus a format version, so stale files are simply never found).
-// ---------------------------------------------------------------------
-
-constexpr uint64_t kCacheFormatVersion = 1;
-
+/** FNV-1a, the hash behind contentKey(). */
 struct Fnv1a
 {
     uint64_t h = 1469598103934665603ull;
@@ -60,369 +44,13 @@ struct Fnv1a
     void str(const std::string &s) { u64(s.size()); bytes(s.data(), s.size()); }
 };
 
-uint64_t
-runKey(const Program &prog, const NativeRegistry &natives,
-       const std::vector<int64_t> &input, const VmOptions &opts)
-{
-    Fnv1a f;
-    f.u64(kCacheFormatVersion);
-    for (uint16_t c = 0; c < prog.classCount(); ++c) {
-        SerializedClass sc = writeClassFile(prog.classAt(c));
-        f.u64(sc.bytes.size());
-        f.bytes(sc.bytes.data(), sc.bytes.size());
-    }
-    f.str(prog.entryClass());
-    natives.forEach([&](const std::string &name, uint64_t cost) {
-        f.str(name);
-        f.u64(cost);
-    });
-    f.u64(input.size());
-    for (int64_t v : input)
-        f.u64(static_cast<uint64_t>(v));
-    f.u64(opts.maxBytecodes);
-    f.u64(opts.blockDelimiterCost);
-    return f.h;
-}
-
-// ---------------------------------------------------------------------
-// Binary (de)serialization. Everything recorded is integral, so the
-// round trip is exact and cached runs are byte-identical to live ones.
-// ---------------------------------------------------------------------
-
-void
-putU64(std::ostream &os, uint64_t v)
-{
-    unsigned char b[8];
-    for (int i = 0; i < 8; ++i)
-        b[i] = static_cast<unsigned char>(v >> (8 * i));
-    os.write(reinterpret_cast<const char *>(b), 8);
-}
-
-bool
-getU64(std::istream &is, uint64_t &v)
-{
-    unsigned char b[8];
-    if (!is.read(reinterpret_cast<char *>(b), 8))
-        return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<uint64_t>(b[i]) << (8 * i);
-    return true;
-}
-
-void
-putVmResult(std::ostream &os, const VmResult &r)
-{
-    putU64(os, r.clock);
-    putU64(os, r.execCycles);
-    putU64(os, r.bytecodes);
-    putU64(os, r.nativeCalls);
-    putU64(os, r.methodsExecuted);
-    putU64(os, r.output.size());
-    for (int64_t v : r.output)
-        putU64(os, static_cast<uint64_t>(v));
-}
-
-bool
-getVmResult(std::istream &is, VmResult &r)
-{
-    uint64_t n = 0;
-    if (!getU64(is, r.clock) || !getU64(is, r.execCycles) ||
-        !getU64(is, r.bytecodes) || !getU64(is, r.nativeCalls) ||
-        !getU64(is, r.methodsExecuted) || !getU64(is, n))
-        return false;
-    r.output.resize(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        uint64_t v = 0;
-        if (!getU64(is, v))
-            return false;
-        r.output[i] = static_cast<int64_t>(v);
-    }
-    return true;
-}
-
-void
-putMethodId(std::ostream &os, MethodId id)
-{
-    putU64(os, (static_cast<uint64_t>(id.classIdx) << 16) | id.methodIdx);
-}
-
-bool
-getMethodId(std::istream &is, MethodId &id)
-{
-    uint64_t v = 0;
-    if (!getU64(is, v))
-        return false;
-    id.classIdx = static_cast<uint16_t>(v >> 16);
-    id.methodIdx = static_cast<uint16_t>(v & 0xffff);
-    return true;
-}
-
-/** Write `payload` to `path` atomically (temp file + rename), so two
- *  experiment binaries racing on the same cache entry cannot leave a
- *  torn file behind. Failures are silent: the cache is an optimization. */
-void
-atomicWrite(const std::filesystem::path &path, const std::string &payload)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(path.parent_path(), ec);
-    std::filesystem::path tmp = path;
-    tmp += cat(".tmp.", ::getpid());
-    {
-        std::ofstream os(tmp, std::ios::binary | std::ios::trunc);
-        if (!os)
-            return;
-        os.write(payload.data(),
-                 static_cast<std::streamsize>(payload.size()));
-        if (!os)
-            return;
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec)
-        std::filesystem::remove(tmp, ec);
-}
-
-std::filesystem::path
-cachePath(const std::string &dir, const char *kind, uint64_t key)
-{
-    char name[64];
-    std::snprintf(name, sizeof name, "%s-%016llx.bin", kind,
-                  static_cast<unsigned long long>(key));
-    return std::filesystem::path(dir) / name;
-}
-
-// ---------------------------------------------------------------------
-// Cache hygiene: the on-disk cache is content-addressed, so entries
-// for retired program/input versions are never overwritten — they
-// accumulate. Keep the directory below a size cap with LRU eviction:
-// loads bump the entry's mtime, stores evict oldest-mtime entries
-// until the directory fits. scripts/bench_cache_purge.py applies the
-// same policy offline.
-// ---------------------------------------------------------------------
-
-/** Size cap in bytes from NSE_BENCH_CACHE_MAX_MB (default 256 MiB);
- *  0 disables eviction. */
-uint64_t
-cacheCapBytes()
-{
-    const char *env = std::getenv("NSE_BENCH_CACHE_MAX_MB");
-    if (!env || !*env)
-        return 256ull << 20;
-    char *end = nullptr;
-    unsigned long long mb = std::strtoull(env, &end, 10);
-    if (end == env)
-        return 256ull << 20;
-    return static_cast<uint64_t>(mb) << 20;
-}
-
-/** Mark a cache entry recently used (failures are irrelevant). */
-void
-touchCacheFile(const std::filesystem::path &path)
-{
-    std::error_code ec;
-    std::filesystem::last_write_time(
-        path, std::filesystem::file_time_type::clock::now(), ec);
-}
-
-/** Evict under the env-configured cap (internal store-path hook). */
-void
-evictCacheOverCap(const std::string &dir)
-{
-    evictBenchCache(dir, cacheCapBytes());
-}
-
-std::optional<FirstUseProfile>
-loadProfile(const std::filesystem::path &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    FirstUseProfile p;
-    uint64_t n = 0;
-    if (!getU64(is, n))
-        return std::nullopt;
-    p.order.resize(n);
-    p.firstUseClock.resize(n);
-    for (uint64_t i = 0; i < n; ++i)
-        if (!getMethodId(is, p.order[i]))
-            return std::nullopt;
-    for (uint64_t i = 0; i < n; ++i)
-        if (!getU64(is, p.firstUseClock[i]))
-            return std::nullopt;
-    uint64_t m = 0;
-    if (!getU64(is, m))
-        return std::nullopt;
-    for (uint64_t i = 0; i < m; ++i) {
-        MethodId id;
-        MethodProfile mp;
-        if (!getMethodId(is, id) || !getU64(is, mp.firstUseClock) ||
-            !getU64(is, mp.dynamicInstrs) || !getU64(is, mp.uniqueInstrs) ||
-            !getU64(is, mp.uniqueBytes))
-            return std::nullopt;
-        p.methods.emplace(id, mp);
-    }
-    if (!getVmResult(is, p.result))
-        return std::nullopt;
-    return p;
-}
-
-void
-storeProfile(const std::filesystem::path &path, const FirstUseProfile &p)
-{
-    std::ostringstream os(std::ios::binary);
-    putU64(os, p.order.size());
-    for (MethodId id : p.order)
-        putMethodId(os, id);
-    for (uint64_t c : p.firstUseClock)
-        putU64(os, c);
-    putU64(os, p.methods.size());
-    for (const auto &[id, mp] : p.methods) {
-        putMethodId(os, id);
-        putU64(os, mp.firstUseClock);
-        putU64(os, mp.dynamicInstrs);
-        putU64(os, mp.uniqueInstrs);
-        putU64(os, mp.uniqueBytes);
-    }
-    putVmResult(os, p.result);
-    atomicWrite(path, os.str());
-}
-
-std::optional<ExecTrace>
-loadTrace(const std::filesystem::path &path)
-{
-    std::ifstream is(path, std::ios::binary);
-    if (!is)
-        return std::nullopt;
-    ExecTrace t;
-    uint64_t n = 0;
-    if (!getU64(is, n))
-        return std::nullopt;
-    t.events.resize(n);
-    for (uint64_t i = 0; i < n; ++i)
-        if (!getMethodId(is, t.events[i].method) ||
-            !getU64(is, t.events[i].execClock))
-            return std::nullopt;
-    if (!getVmResult(is, t.totals))
-        return std::nullopt;
-    return t;
-}
-
-void
-storeTrace(const std::filesystem::path &path, const ExecTrace &t)
-{
-    std::ostringstream os(std::ios::binary);
-    putU64(os, t.events.size());
-    for (const TraceEvent &ev : t.events) {
-        putMethodId(os, ev.method);
-        putU64(os, ev.execClock);
-    }
-    putVmResult(os, t.totals);
-    atomicWrite(path, os.str());
-}
-
-FirstUseProfile
-cachedProfileRun(const Program &prog, const NativeRegistry &natives,
-                 const std::vector<int64_t> &input,
-                 const std::string &cache_dir,
-                 const DecodedCache *decoded)
-{
-    if (cache_dir.empty())
-        return profileRun(prog, natives, input, decoded);
-    std::filesystem::path path =
-        cachePath(cache_dir, "profile", runKey(prog, natives, input, {}));
-    if (std::optional<FirstUseProfile> p = loadProfile(path)) {
-        touchCacheFile(path);
-        return std::move(*p);
-    }
-    FirstUseProfile p = profileRun(prog, natives, input, decoded);
-    storeProfile(path, p);
-    evictCacheOverCap(cache_dir);
-    return p;
-}
-
 } // namespace
-
-void
-evictBenchCache(const std::string &dir, uint64_t cap_bytes)
-{
-    if (cap_bytes == 0)
-        return;
-    struct Entry
-    {
-        std::filesystem::file_time_type mtime;
-        uint64_t size;
-        std::filesystem::path path;
-    };
-    std::vector<Entry> entries;
-    uint64_t total = 0;
-    std::error_code ec;
-    for (const auto &de : std::filesystem::directory_iterator(dir, ec)) {
-        if (!de.is_regular_file(ec))
-            continue;
-        // A leftover ".evicting.<pid>" tombstone means an evictor died
-        // between rename and unlink; finish the job. Tombstones never
-        // end in ".bin", so they are invisible to the size scan and to
-        // loads, and a crashed evictor cannot resurrect an entry.
-        if (de.path().filename().string().find(".evicting.") !=
-            std::string::npos) {
-            std::filesystem::remove(de.path(), ec);
-            continue;
-        }
-        if (de.path().extension() != ".bin")
-            continue;
-        uint64_t size = de.file_size(ec);
-        if (ec)
-            continue;
-        entries.push_back({de.last_write_time(ec), size, de.path()});
-        total += size;
-    }
-    if (total <= cap_bytes)
-        return;
-    std::sort(entries.begin(), entries.end(),
-              [](const Entry &a, const Entry &b) {
-                  return a.mtime < b.mtime;
-              });
-    for (const Entry &e : entries) {
-        if (total <= cap_bytes)
-            break;
-        // Concurrent benches race this scan: another process may have
-        // touched the entry (a load bumped its mtime — it is hot, not
-        // LRU anymore), evicted it already, or be mid-load on an open
-        // handle. Re-stat first and skip touched entries; then claim
-        // the victim with an atomic rename (exactly one racing evictor
-        // wins; ENOENT means the other one did) and unlink the
-        // tombstone. A reader that already opened the original keeps
-        // reading its handle; a reader that lost the race sees a clean
-        // miss instead of a torn file. Every failure is tolerated —
-        // the cache is an optimization.
-        auto mtime_now = std::filesystem::last_write_time(e.path, ec);
-        if (ec || mtime_now != e.mtime)
-            continue;
-        std::filesystem::path tomb = e.path;
-        tomb += cat(".evicting.", ::getpid());
-        std::filesystem::rename(e.path, tomb, ec);
-        if (ec)
-            continue;
-        std::filesystem::remove(tomb, ec);
-        total -= e.size;
-    }
-}
 
 ExecTrace
 recordTrace(const Program &prog, const NativeRegistry &natives,
             const std::vector<int64_t> &input, const VmOptions &opts,
-            const std::string &cache_dir, const DecodedCache *decoded)
+            const DecodedCache *decoded)
 {
-    std::filesystem::path path;
-    if (!cache_dir.empty()) {
-        path = cachePath(cache_dir, "trace",
-                         runKey(prog, natives, input, opts));
-        if (std::optional<ExecTrace> t = loadTrace(path)) {
-            touchCacheFile(path);
-            return std::move(*t);
-        }
-    }
-
     ExecTrace trace;
     Vm vm(prog, natives, input, opts, decoded);
     vm.setFirstUseHook([&](MethodId id, uint64_t clock) {
@@ -430,21 +58,19 @@ recordTrace(const Program &prog, const NativeRegistry &natives,
         return clock;
     });
     trace.totals = vm.run();
-
-    if (!cache_dir.empty()) {
-        storeTrace(path, trace);
-        evictCacheOverCap(cache_dir);
-    }
     return trace;
 }
 
 SimContext::SimContext(const Program &prog, const NativeRegistry &natives,
                        std::vector<int64_t> train_input,
                        std::vector<int64_t> test_input,
-                       std::string cache_dir)
+                       const std::string &cache_dir)
     : prog_(prog), natives_(natives), trainInput_(std::move(train_input)),
-      testInput_(std::move(test_input)), cacheDir_(std::move(cache_dir))
+      testInput_(std::move(test_input))
 {
+    if (!cache_dir.empty())
+        fatal("SimContext cache_dir: the on-disk profile/trace cache was "
+              "removed; pass \"\" (got \"", cache_dir, "\")");
     for (uint16_t c = 0; c < prog_.classCount(); ++c)
         totalBytes_ += layoutOf(prog_.classAt(c)).totalSize;
     entryClassBytes_ =
@@ -477,8 +103,8 @@ const FirstUseProfile &
 SimContext::trainProfile() const
 {
     std::call_once(trainOnce_, [&] {
-        trainProfile_ = cachedProfileRun(prog_, natives_, trainInput_,
-                                         cacheDir_, &decoded());
+        trainProfile_ =
+            profileRun(prog_, natives_, trainInput_, &decoded());
     });
     return *trainProfile_;
 }
@@ -487,8 +113,8 @@ const FirstUseProfile &
 SimContext::testProfile() const
 {
     std::call_once(testOnce_, [&] {
-        testProfile_ = cachedProfileRun(prog_, natives_, testInput_,
-                                        cacheDir_, &decoded());
+        testProfile_ =
+            profileRun(prog_, natives_, testInput_, &decoded());
     });
     return *testProfile_;
 }

@@ -18,10 +18,10 @@
  * after construction; lazily memoized values are guarded internally.
  * Returned references stay valid for the SimContext's lifetime.
  *
- * Profiles and traces can optionally be cached on disk (keyed by a
- * content hash of the program, input, and interpreter options), so a
- * suite of experiment binaries pays for one interpretation per
- * workload *in total*, not one per binary.
+ * Profiles and traces have one source: an interpreter run inside the
+ * context that needs them. Nothing is persisted between contexts or
+ * processes, so every profile reflects the current interpreter and
+ * cost model.
  */
 
 #ifndef NSE_SIM_CONTEXT_H
@@ -87,32 +87,13 @@ struct ExecTrace
 
 /**
  * Record an execution trace by running the interpreter once with a
- * pass-through first-use hook. When `cache_dir` is non-empty, the
- * trace is loaded from / stored to a content-addressed file there.
- * `decoded` optionally shares a decode cache across runs (results are
- * bit-identical with or without it, so it is not part of the cache
- * key).
+ * pass-through first-use hook. `decoded` optionally shares a decode
+ * cache across runs (results are bit-identical with or without it).
  */
 ExecTrace recordTrace(const Program &prog, const NativeRegistry &natives,
                       const std::vector<int64_t> &input,
                       const VmOptions &opts = {},
-                      const std::string &cache_dir = "",
                       const DecodedCache *decoded = nullptr);
-
-/**
- * Bench-cache LRU maintenance: evict oldest-mtime `.bin` entries from
- * `dir` until the directory fits under `cap_bytes` (0 = no cap, no-op).
- * Safe to run concurrently from many processes sharing one cache
- * directory: victims are re-statted (an mtime bump since the scan
- * means a racing load made the entry hot — skip it) and claimed with
- * an atomic rename to a non-`.bin` tombstone before the unlink, so
- * exactly one racing evictor wins, a concurrent reader sees either the
- * whole entry or a clean miss (never a torn file), and a crashed
- * evictor's tombstone is swept by the next scan. Every store-path
- * caller applies this automatically under NSE_BENCH_CACHE_MAX_MB
- * (default 256 MiB); exposed for tests and offline maintenance.
- */
-void evictBenchCache(const std::string &dir, uint64_t cap_bytes);
 
 /** Identity of a memoized transfer layout. */
 struct LayoutKey
@@ -158,13 +139,15 @@ class SimContext
      * @param natives   native bodies (must outlive the context)
      * @param train_input  profile-gathering input
      * @param test_input   measurement input
-     * @param cache_dir optional directory for the on-disk profile and
-     *                  trace cache ("" = no caching)
+     * @param cache_dir must be "": the on-disk profile/trace cache is
+     *                  gone, and a non-empty value is a fatal error.
+     *                  Kept only so existing callers that pass ""
+     *                  still compile.
      */
     SimContext(const Program &prog, const NativeRegistry &natives,
                std::vector<int64_t> train_input,
                std::vector<int64_t> test_input,
-               std::string cache_dir = "");
+               const std::string &cache_dir = "");
 
     SimContext(const SimContext &) = delete;
     SimContext &operator=(const SimContext &) = delete;
@@ -186,8 +169,7 @@ class SimContext
      * partition, layout, schedule) can depend on. Two contexts with
      * equal contentKey() produce byte-identical artifacts for any
      * LayoutKey/ScheduleKey, so this is the workload half of the edge
-     * cache's key (cache/edge_cache.h); the on-disk profile cache
-     * uses the same hashing scheme per (input, options) pair.
+     * cache's key (cache/edge_cache.h).
      */
     uint64_t contentKey() const;
 
@@ -246,7 +228,6 @@ class SimContext
     const NativeRegistry &natives_;
     std::vector<int64_t> trainInput_;
     std::vector<int64_t> testInput_;
-    std::string cacheDir_;
     uint64_t totalBytes_ = 0;
     uint64_t entryClassBytes_ = 0;
 

@@ -1,8 +1,10 @@
 #include "sim/replay.h"
 
+#include <cmath>
 #include <optional>
 
 #include "analysis/callgraph.h"
+#include "support/error.h"
 #include "transfer/engine.h"
 #include "transfer/runahead.h"
 #include "transfer/schedule.h"
@@ -134,6 +136,17 @@ observeEnd(EventSink *obs, const SimResult &r)
     observe(obs, ev);
 }
 
+/** Reject a link cost no transfer model can price: transferCost's
+ *  rounding cast and the engine's rates need a finite positive value. */
+void
+checkLinkCost(const SimConfig &cfg)
+{
+    double c = cfg.link.cyclesPerByte;
+    if (!(std::isfinite(c) && c > 0.0))
+        fatal("SimConfig::link.cyclesPerByte must be finite and > 0, "
+              "got ", c);
+}
+
 SimResult
 runStrict(const SimContext &ctx, const SimConfig &cfg, EventSink *obs)
 {
@@ -186,6 +199,7 @@ makeOverlappedEngine(const SimContext &ctx, const SimConfig &cfg,
 SimResult
 runReplay(const SimContext &ctx, const SimConfig &cfg, EventSink *obs)
 {
+    checkLinkCost(cfg);
     if (cfg.mode == SimConfig::Mode::Strict)
         return runStrict(ctx, cfg, obs);
 
@@ -252,6 +266,7 @@ SimResult
 runLiveReference(const SimContext &ctx, const SimConfig &cfg,
                  EventSink *obs)
 {
+    checkLinkCost(cfg);
     if (cfg.mode == SimConfig::Mode::Strict)
         return runStrict(ctx, cfg, obs);
 

@@ -152,6 +152,9 @@ uint64_t nonStrictInvocationLatency(const SimContext &ctx,
  * final RunEnd. Null (the default) records nothing and costs nothing;
  * a sink must only be shared across concurrent runs if it is itself
  * thread-safe (EventTrace is not — use one per run).
+ *
+ * A non-finite or non-positive `cfg.link.cyclesPerByte` is a fatal
+ * error naming the field.
  */
 SimResult runReplay(const SimContext &ctx, const SimConfig &cfg,
                     EventSink *obs = nullptr);

@@ -29,7 +29,6 @@
 
 #include "analysis/first_use.h"
 #include "restructure/layout.h"
-#include "transfer/faults.h"
 #include "transfer/link.h"
 
 namespace nse
@@ -77,20 +76,14 @@ std::vector<uint64_t> staticFirstUseCycles(const Program &prog,
                                            const FirstUseOrder &order);
 
 /**
- * Build the greedy latest-feasible-start schedule.
- *
- * `faults` is the plan the run will be *evaluated* under. Planning is
- * always done against the nominal link — the server cannot foresee
- * bandwidth dips or connection drops — so the plan does not change
- * the schedule; it is threaded through so the planning contract
- * ("schedule nominal, evaluate faulted, let demand fetches absorb the
- * slack") lives in one signature, and so a future policy that plans
- * against a *known* degradation trace has a place to hang.
+ * Build the greedy latest-feasible-start schedule, planned against the
+ * nominal `link`: the server cannot foresee bandwidth dips or
+ * connection drops, so a faulted run is evaluated against this same
+ * schedule and its demand fetches absorb the slack.
  */
 TransferSchedule buildGreedySchedule(const TransferLayout &layout,
                                      const StreamDemand &demand,
-                                     const LinkModel &link, int limit,
-                                     const FaultPlan *faults = nullptr);
+                                     const LinkModel &link, int limit);
 
 } // namespace nse
 

@@ -180,8 +180,7 @@ TEST_P(SyntheticSweep, MustWithinMayWithinRtaOnRandomPrograms)
         std::vector<int64_t> input(rng.below(16));
         for (int64_t &v : input)
             v = static_cast<int64_t>(rng.below(2001)) - 1000;
-        ExecTrace trace =
-            recordTrace(prog, natives, input, {}, "", &dc);
+        ExecTrace trace = recordTrace(prog, natives, input, {}, &dc);
         checkAnalysisAgainstTrace(prog, cg, ua, trace);
     }
 }

@@ -12,8 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <tuple>
+
 #include "obs/event.h"
 #include "sim/replay.h"
+#include "support/error.h"
 #include "workloads/synthetic.h"
 #include "workloads/workload.h"
 
@@ -205,6 +209,54 @@ TEST(Replay, TraceIsConfigInvariant)
     EXPECT_EQ(trace.totals.clock, trace.totals.execCycles);
     EXPECT_EQ(trace.events.size(), ctx.testProfile().methods.size());
 }
+
+/** A link cost no transfer model can price, crossed with every mode:
+ *  each must be rejected by name before any cycle is counted. */
+class ReplayRejectsBadLinkCost
+    : public ::testing::TestWithParam<std::tuple<double, SimConfig::Mode>>
+{
+};
+
+TEST_P(ReplayRejectsBadLinkCost, CyclesPerByte)
+{
+    static Workload wl = makeHanoi();
+    static SimContext ctx(wl.program, wl.natives, wl.trainInput,
+                          wl.testInput);
+    SimConfig cfg;
+    cfg.mode = std::get<1>(GetParam());
+    cfg.link = {"bad", std::get<0>(GetParam())};
+    for (auto *run : {&runReplay, &runLiveReference}) {
+        try {
+            run(ctx, cfg, nullptr);
+            ADD_FAILURE() << "bad link cost accepted";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "SimConfig::link.cyclesPerByte"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+}
+
+std::string
+badLinkName(const ::testing::TestParamInfo<
+            std::tuple<double, SimConfig::Mode>> &info)
+{
+    const char *values[] = {"NaN", "PosInf", "Zero", "Negative"};
+    const char *modes[] = {"Strict", "Parallel", "Interleaved"};
+    return std::string(values[info.index / 3]) + modes[info.index % 3];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NonFiniteOrNonPositive, ReplayRejectsBadLinkCost,
+    ::testing::Combine(
+        ::testing::Values(std::numeric_limits<double>::quiet_NaN(),
+                          std::numeric_limits<double>::infinity(), 0.0,
+                          -1.0),
+        ::testing::Values(SimConfig::Mode::Strict,
+                          SimConfig::Mode::Parallel,
+                          SimConfig::Mode::Interleaved)),
+    badLinkName);
 
 } // namespace
 } // namespace nse

@@ -98,6 +98,22 @@ TEST(Json, MetricsObjectAlwaysPresentAndOrdered)
               std::string::npos);
 }
 
+TEST(Json, TimingObjectOnlyWhenSetAndSeparateFromMetrics)
+{
+    BenchJson json("unit");
+    json.setMetric("runs", uint64_t{2});
+    EXPECT_EQ(json.str().find("\"timing\""), std::string::npos);
+
+    json.setTiming("speedup", 5.5);
+    json.setTiming("speedup", 6.25); // last set wins, in place
+    std::string doc = json.str();
+    EXPECT_NE(doc.find("\"metrics\": {\"runs\": 2},\n"
+                       "  \"timing\": {\"speedup\": 6.25},\n"
+                       "  \"tables\""),
+              std::string::npos)
+        << doc;
+}
+
 TEST(Json, WriteFailurePrintsWarningAndReturnsEmpty)
 {
     BenchJson json("unwritable");

@@ -295,5 +295,20 @@ TEST(SimSynthetic, WholePipelineOnGeneratedProgram)
     EXPECT_EQ(r.execCycles, s.execCycles);
 }
 
+TEST_F(SimFixture, NonEmptyCacheDirIsRejected)
+{
+    // Profiles and traces are always interpreted in the context: a
+    // cache directory would silently do nothing, so it is an error.
+    try {
+        SimContext ctx(wl_.program, wl_.natives, wl_.trainInput,
+                       wl_.testInput, "some-dir");
+        ADD_FAILURE() << "cache_dir accepted";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("SimContext cache_dir"),
+                  std::string::npos)
+            << e.what();
+    }
+}
+
 } // namespace
 } // namespace nse
